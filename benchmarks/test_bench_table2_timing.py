@@ -106,12 +106,13 @@ def _per_entry_compile(program):
     return builder
 
 
-def _best_seconds(fn, repeats=5):
+def _best_compile_seconds(model, degree, compile_program, repeats=5):
     # Best-of-N is far less sensitive to CI runner noise than a mean/median.
     times = []
     for _ in range(repeats):
+        program = _lyapunov_program(model, degree)
         start = time.perf_counter()
-        fn()
+        compile_program(program)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -128,22 +129,12 @@ def test_bench_table2_compile_solve_split(fourth_order_model):
     speedups = {}
     for degree in (2, 4):
         _lyapunov_program(model, degree).compile()  # warm the structural caches
-
-        def vectorized():
-            program = _lyapunov_program(model, degree)
-            program.compile()[0].build()
-
-        def per_entry():
-            program = _lyapunov_program(model, degree)
-            _per_entry_compile(program).build()
-
-        fast = _best_seconds(vectorized)
-        slow = _best_seconds(per_entry)
-        # Subtract the shared program-construction cost so the ratio compares
-        # the compile stages themselves.
-        build_only = _best_seconds(lambda: _lyapunov_program(model, degree))
-        compile_fast = max(fast - build_only, 1e-9)
-        compile_slow = max(slow - build_only, 1e-9)
+        # Each repeat builds a fresh program untimed (``compile()`` memoises
+        # per program) and times the compile stage alone.
+        compile_fast = _best_compile_seconds(
+            model, degree, lambda program: program.compile()[0].build())
+        compile_slow = _best_compile_seconds(
+            model, degree, lambda program: _per_entry_compile(program).build())
         speedups[degree] = compile_slow / compile_fast
         rows.append((f"deg {degree}", f"{compile_fast * 1e3:.2f}",
                      f"{compile_slow * 1e3:.2f}", f"{speedups[degree]:.1f}x"))

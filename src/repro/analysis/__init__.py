@@ -3,6 +3,7 @@
 from .projection import ProjectionGrid, project_sublevel_set, project_union
 from .falsification import (
     FalsificationFinding,
+    FalsificationFindings,
     check_certificate_decrease_along_trajectories,
     check_invariant_convergence,
     random_initial_states,
@@ -16,6 +17,7 @@ __all__ = [
     "project_sublevel_set",
     "project_union",
     "FalsificationFinding",
+    "FalsificationFindings",
     "simulate_relay_abstraction",
     "check_invariant_convergence",
     "check_certificate_decrease_along_trajectories",

@@ -235,8 +235,9 @@ def _step_falsification(problem, certificates_data: Dict[str, object],
         "findings": [str(finding) for finding in findings],
     }
     if findings:
-        return "failed", f"{len(findings)} falsification finding(s)", data
-    return "ok", "no claim violated by simulation", data
+        return ("failed", f"{len(findings)} falsification finding(s): "
+                f"{findings.summary()}", data)
+    return "ok", f"no claim violated by simulation: {findings.summary()}", data
 
 
 def _execute_job(payload: Dict[str, object],

@@ -7,11 +7,15 @@ import pytest
 
 from repro.analysis import (
     StageTimer,
+    check_certificate_decrease_along_trajectories,
     project_sublevel_set,
     project_union,
     random_initial_states,
+    run_falsification,
     simulate_relay_abstraction,
 )
+from repro.core.attractive import AttractiveInvariant
+from repro.core.levelset import MaximizedLevelSet
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.pll import build_third_order_model
 from repro.utils import (
@@ -84,6 +88,96 @@ class TestFalsification:
         assert trajectory.shape[1] == 3
         final_voltages = trajectory[-1][:2]
         assert np.linalg.norm(final_voltages) < 0.5
+
+    def test_batched_simulation_matches_single_state_and_reference_loop(self):
+        model = build_third_order_model(uncertainty="none")
+        states = np.array([[1.0, -1.0, 0.5], [-1.5, 1.0, -0.8], [0.3, 0.2, -0.1]])
+        batch = simulate_relay_abstraction(model, states, duration=2.0, dt=1e-3)
+        assert batch.shape == (3, 2001, 3)
+        fields = model.nominal_fields()
+        for i, x0 in enumerate(states):
+            single = simulate_relay_abstraction(model, x0, duration=2.0, dt=1e-3)
+            assert np.max(np.abs(batch[i] - single)) <= 1e-12
+            # Plain per-state Euler loop over the sign-of-e relay.
+            state = x0.copy()
+            reference = [state]
+            for _ in range(2000):
+                e = state[-1]
+                mode = "mode2" if e > 0 else "mode3" if e < 0 else "mode1"
+                state = state + 1e-3 * np.array(
+                    [component.evaluate(state) for component in fields[mode]])
+                reference.append(state)
+            assert np.max(np.abs(batch[i] - np.array(reference))) <= 1e-12
+
+    def test_step_count_rounds_instead_of_truncating(self):
+        model = build_third_order_model(uncertainty="none")
+        assert int(0.3 / 0.1) == 2
+        trajectory = simulate_relay_abstraction(model, [1.0, -1.0, 0.5],
+                                                duration=0.3, dt=0.1)
+        assert trajectory.shape == (4, 3)
+
+    def test_decrease_step_index_is_a_trajectory_step(self):
+        # V = v1 along mode2 from this state: the in-mode, off-tube samples
+        # form several separate runs, so an index into the masked samples is
+        # not a trajectory step.
+        model = build_third_order_model(uncertainty="none")
+        variables = model.state_variables
+        v1 = Polynomial.from_variable(variables[0], variables)
+        x0 = [-1.5, 1.0, -0.8]
+        findings = check_certificate_decrease_along_trajectories(
+            model, {"mode2": v1}, [x0], tolerance=0.0)
+        assert len(findings) == 1
+        trajectory = simulate_relay_abstraction(model, x0, duration=20.0)
+        in_mode = (trajectory[:, -1] > 1e-6) & (
+            np.linalg.norm(trajectory[:, :-1], axis=1) > 0.55)
+        increases = np.where(in_mode[1:] & in_mode[:-1],
+                             np.diff(trajectory[:, 0]), -np.inf)
+        worst_step = int(np.argmax(increases)) + 1
+        assert worst_step == 1568
+        assert findings[0].step_index == worst_step
+        assert findings[0].worst_value == pytest.approx(increases[worst_step - 1])
+
+    def test_run_falsification_skips_membership_when_invariance_is_off(self):
+        class NoMembership:
+            def contains_points(self, points):
+                raise AssertionError("membership swept with check_invariance off")
+
+            membership_margins = contains_points
+
+        model = build_third_order_model(uncertainty="none")
+        variables = model.state_variables
+        v1 = Polynomial.from_variable(variables[0], variables)
+        findings = run_falsification(
+            model, NoMembership(), certificates={"mode1": v1, "mode2": v1},
+            initial_states=[[-1.5, 1.0, -0.8], [1.0, -1.0, 0.5]],
+            duration=2.0, lock_radius=5.0, tolerance=1.0, check_invariance=False)
+        assert list(findings) == []
+        assert findings.states == 2
+        assert findings.decrease_pairs["mode1"] == 0
+        assert findings.decrease_pairs["mode2"] > 0
+        assert findings.summary() == (
+            f"2 states; decrease pairs mode1=0 "
+            f"mode2={findings.decrease_pairs['mode2']}")
+
+    def test_run_falsification_reports_leaving_the_invariant(self):
+        model = build_third_order_model(uncertainty="none")
+        variables = model.state_variables
+        x0 = np.array([1.0, -1.0, 0.5])
+        # A small ball around the start: the trajectory begins inside it and
+        # flows out.
+        ball = Polynomial.zero(variables)
+        for variable, centre in zip(variables, x0):
+            offset = Polynomial.from_variable(variable, variables) - float(centre)
+            ball = ball + offset * offset
+        invariant = AttractiveInvariant(
+            {"mode1": MaximizedLevelSet("mode1", ball, 0.01, iterations=0)},
+            variables)
+        findings = run_falsification(
+            model, invariant, initial_states=[x0], duration=2.0,
+            lock_radius=5.0, check_invariance=True)
+        assert [f.claim for f in findings] == ["forward invariance of X1"]
+        assert findings[0].step_index == 0
+        assert findings[0].worst_value > 1e-3
 
     def test_random_initial_states_inside_outer_set(self):
         model = build_third_order_model(uncertainty="none")
