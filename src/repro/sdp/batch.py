@@ -13,12 +13,14 @@ operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
   so each problem's row is contiguous and the identical loop runs on NumPy,
   CuPy or torch tensors; problems and results stay NumPy and cross the
   device boundary once per batch;
-* the x-update is one sparse solve for the whole active set: when all active
-  problems share the same ``A`` and ``rho`` (parameter sweeps in ``b``) a
-  single cached ``splu`` factorisation handles the batch as a multi-RHS
-  solve; otherwise the per-problem KKT blocks are assembled into one
-  block-diagonal factorisation that is only recomputed when the active set
-  or a problem's adaptive ``rho`` changes — never per iteration;
+* the x-update factorises each distinct ``(A, rho)`` pair once per batch:
+  when two or more active problems share a pair (parameter sweeps in ``b``,
+  whose adaptive ``rho`` values may drift apart) every distinct pair's rows
+  are one multi-RHS solve against its cached ``splu`` factor; only when
+  every active pair is distinct (each bisection level has its own ``A``)
+  are the per-problem KKT blocks assembled into one block-diagonal
+  factorisation, recomputed when the active set or a problem's adaptive
+  ``rho`` changes — never per iteration;
 * the z-update projects all PSD blocks of all problems through one stacked
   ``eigh`` (:func:`~repro.sdp.cones.project_onto_cone_many`);
 * residuals, tolerances, stall detection and adaptive-``rho`` updates are
@@ -195,31 +197,36 @@ class BatchADMMSolver:
                 lu_cache[cache_key] = lu
             return lu
 
-        def build_epoch(cols: np.ndarray):
-            """LU + workspace for the problems in ``cols``.
+        def build_epoch(cols: np.ndarray) -> Optional[_Epoch]:
+            """The KKT factorisations for the problems in ``cols``.
 
-            Returns ``(lu, shared, failed_cols)``: ``lu`` is ``None`` exactly
-            when some per-problem factorisation failed (``failed_cols``) or
-            when only the assembled block-diagonal failed (empty
-            ``failed_cols`` — the caller falls back to serial solves).
+            Returns ``None`` when a factorisation failed: either some
+            per-problem KKT (recorded in ``numerical_failures``) or only the
+            assembled block-diagonal (nothing recorded — the caller falls
+            back to serial solves).
             """
-            groups_rhos = [(int(group_of[col]), float(rho[col])) for col in cols]
-            shared = len(set(groups_rhos)) == 1
-            failed: List[int] = []
+            pairs = [(int(group_of[col]), float(rho[col])) for col in cols]
+            rows_of: Dict[Tuple[int, float], List[int]] = {}
+            for position, pair in enumerate(pairs):
+                rows_of.setdefault(pair, []).append(position)
             try:
-                if shared:
-                    return get_lu(*groups_rhos[0]), True, failed
-                return xb.kkt_factor(_block_diag_csc(
-                    [kkt_block(g, r) for g, r in groups_rhos], n + m)), False, failed
+                if len(pairs) > 1 and len(rows_of) == len(pairs):
+                    return _Epoch(xb, n, block=xb.kkt_factor(_block_diag_csc(
+                        [kkt_block(*pair) for pair in pairs], n + m)))
+                if len(rows_of) == 1:
+                    return _Epoch(xb, n, parts=[(get_lu(*pairs[0]), None)])
+                return _Epoch(xb, n, parts=[
+                    (get_lu(*pair), xb.index_from_host(np.asarray(rows)))
+                    for pair, rows in rows_of.items()])
             except RuntimeError:  # pragma: no cover - singular KKT
-                for col, (g, r) in zip(cols, groups_rhos):
+                for col, pair in zip(cols, pairs):
                     try:
-                        get_lu(g, r)
+                        get_lu(*pair)
                     except RuntimeError as exc:
                         numerical_failures[int(col)] = \
                             f"KKT factorization failed: {exc}"
                         statuses[int(col)] = SolverStatus.NUMERICAL_ERROR
-                return None, shared, failed
+                return None
 
         # Row-contiguous (B, n) state on the backend's device; each problem is
         # one row.  Problems/warm starts are host NumPy and cross over here.
@@ -335,8 +342,7 @@ class BatchADMMSolver:
         n, m = s.n, s.m
         active = np.arange(s.batch)
         epoch_key: Optional[tuple] = None
-        epoch_lu = None
-        epoch_shared = False
+        epoch: Optional[_Epoch] = None
         act_dev = rho_dev = C_act = W = None
         work = 0
 
@@ -344,11 +350,11 @@ class BatchADMMSolver:
             if active.size == 0:
                 break
 
-            # x-update: one sparse solve for the whole active set.
+            # x-update: the active set's KKT solves (one per _Epoch factor).
             current_key = (active.tobytes(), s.rho[active].tobytes())
             if current_key != epoch_key:
-                epoch_lu, epoch_shared, _ = s.build_epoch(active)
-                if epoch_lu is None:
+                epoch = s.build_epoch(active)
+                if epoch is None:
                     failed = [c for c in active if c in s.numerical_failures]
                     if not failed:  # pragma: no cover - block-diag-only failure
                         return None
@@ -369,11 +375,7 @@ class BatchADMMSolver:
             k = active.size
             work += k
             W[:, :n] = rho_dev * (Z[act_dev] - U[act_dev]) - C_act
-            if epoch_shared:
-                x_act = epoch_lu.solve(W.T)[:n].T
-            else:
-                sol = epoch_lu.solve(W.reshape(-1))
-                x_act = sol.reshape((k, n + m))[:, :n]
+            x_act = epoch.solve_x(W)
             X[act_dev] = x_act
 
             act = active
@@ -476,8 +478,7 @@ class BatchADMMSolver:
         Z_fin = np.zeros((s.batch, n))
         U_fin = np.zeros((s.batch, n))
         dirty = True
-        epoch_lu = None
-        epoch_shared = False
+        epoch: Optional[_Epoch] = None
         rho_dev = W = XR = ZB = None
         last_infeas = 0
         last_rho = 0
@@ -487,8 +488,8 @@ class BatchADMMSolver:
         while iteration < settings.max_iterations and idx.size:
             iteration += 1
             if dirty:
-                epoch_lu, epoch_shared, _ = s.build_epoch(idx)
-                if epoch_lu is None:
+                epoch = s.build_epoch(idx)
+                if epoch is None:
                     failed_mask = np.asarray(
                         [int(col) in s.numerical_failures for col in idx])
                     if not failed_mask.any():  # pragma: no cover
@@ -516,10 +517,7 @@ class BatchADMMSolver:
             Wx -= U
             Wx *= rho_dev
             Wx -= C_dev
-            if epoch_shared:
-                X = epoch_lu.solve(W.T)[:n].T
-            else:
-                X = epoch_lu.solve(W.reshape(-1)).reshape((k, n + m))[:, :n]
+            X = epoch.solve_x(W)
             XR[:] = X
             XR *= s.alpha
             ZB[:] = Z
@@ -621,6 +619,36 @@ class BatchADMMSolver:
             Z_fin[idx] = xb.to_host(Z)
             U_fin[idx] = xb.to_host(U)
         return X_fin, Z_fin, U_fin, work
+
+
+class _Epoch:
+    """The x-update's KKT factorisations for one active set.
+
+    Either one block-diagonal factor over every active problem (``block``),
+    or ``parts``: one cached factor per distinct ``(A, rho)`` pair with the
+    active rows it serves (``None`` = every row), solved as multi-RHS.
+    """
+
+    __slots__ = ("xb", "n", "block", "parts")
+
+    def __init__(self, xb, n: int, block=None, parts=None):
+        self.xb = xb
+        self.n = n
+        self.block = block
+        self.parts = parts
+
+    def solve_x(self, W):
+        """The x rows ``(k, n)`` of the KKT solves of the rows of ``W``."""
+        n = self.n
+        if self.block is not None:
+            k = W.shape[0]
+            return self.block.solve(W.reshape(-1)).reshape((k, -1))[:, :n]
+        if len(self.parts) == 1:
+            return self.parts[0][0].solve(W.T)[:n].T
+        x = self.xb.empty((W.shape[0], n))
+        for lu, rows in self.parts:
+            x[rows] = lu.solve(W[rows].T)[:n].T
+        return x
 
 
 def alpha_combine(alpha: float, x, z):

@@ -14,7 +14,7 @@ stacked ``eigh`` call — the per-iteration hot path of the ADMM backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -113,8 +113,10 @@ class ConeDims:
         if self.free < 0 or self.nonneg < 0 or any(k <= 0 for k in self.psd):
             raise ValueError(f"invalid cone dimensions: {self}")
 
-    @property
+    @cached_property
     def total(self) -> int:
+        # Computed once per instance: the hot projection loops read it on
+        # every call, and summing over dozens of PSD blocks adds up.
         return self.free + self.nonneg + sum(svec_dim(k) for k in self.psd)
 
     def slices(self) -> Tuple[slice, slice, List[slice]]:

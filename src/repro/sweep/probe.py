@@ -20,6 +20,12 @@ point.  Per point, acceptance mirrors the synthesis pipeline's ladder:
    solver's candidate — exactly `MultipleLyapunovSynthesizer.synthesize`'s
    escalation semantics applied to a fixed certificate.
 
+A shard runs step 1 on every point first, then climbs the ladder one rung
+at a time: all points still uncertified solve that rung's probe as one
+batch (:meth:`SolveContext.solve_many`, whose per-problem results match
+solving each point alone), and each point then applies the acceptance rules
+above to its own result.
+
 The conic data of each rung's probe family is decomposed affinely over the
 sweep axes by :class:`~repro.sos.parametric.MultiParametricSOSProgram`
 (one structural compile per rung, pure array re-assembly per point); axes
@@ -34,7 +40,7 @@ solves, and a perturbed grid re-solves only the changed points.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.lyapunov import MultipleLyapunovSynthesizer
 from ..engine.serialize import certificates_from_data
@@ -56,6 +62,16 @@ def _point_problem(scenario: str, params: Dict[str, float]):
 def _synthesizer(problem, context: SolveContext) -> MultipleLyapunovSynthesizer:
     return MultipleLyapunovSynthesizer(
         problem.system, options=problem.options.lyapunov, context=context)
+
+
+class _Pending(NamedTuple):
+    """A point that passed sampling and still climbs the ladder."""
+
+    outcome: Dict[str, object]
+    params: Dict[str, float]
+    options: object
+    settings: Dict[str, object]
+    validated: bool
 
 
 class _RungStructure:
@@ -91,7 +107,6 @@ class _RungStructure:
                         "falling back to per-point rebuilds",
                         scenario, rung, exc)
             self.mode = "rebuild"
-        self._last_program = None
 
     def _probe_program(self, params: Dict[str, float]):
         problem = _point_problem(self._scenario, {**self._anchor, **params})
@@ -100,20 +115,15 @@ class _RungStructure:
             self._certificates, cone=self.cone,
             name=f"sweep_probe_{self._scenario}_{self.rung}")
 
-    def conic_at(self, params: Dict[str, float]):
-        """The point's conic problem: an array bind, or a rebuild fallback."""
+    def probe_at(self, params: Dict[str, float]):
+        """The point's conic problem and the ``interpret(result, ...)`` that
+        maps its solver result back onto SOS certificates: an array bind of
+        the family, or a rebuilt program of the point's own."""
         if self.family is not None:
-            return self.family.bind(params)
+            return self.family.bind(params), self.family.interpret
         program = self._probe_program(params)
-        self._last_program = program
         self.rebuild_compiles += 1
-        return program.compile()[0].build()
-
-    def interpret(self, result, with_certificates: bool = False):
-        if self.family is not None:
-            return self.family.interpret(result, with_certificates=with_certificates)
-        return self._last_program.interpret_result(
-            result, with_certificates=with_certificates)
+        return program.compile()[0].build(), program.interpret_result
 
     def stats(self) -> Dict[str, object]:
         parametric = self.family
@@ -156,7 +166,9 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
                 context)
         return structures[rung]
 
+    # Pass 1: sampling validation of every point.
     outcomes: List[Dict[str, object]] = []
+    pending: List[_Pending] = []
     for entry in payload["points"]:
         index = int(entry["index"])
         params = {k: float(v) for k, v in entry["params"].items()}
@@ -181,33 +193,37 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
             "sampling": sampling_ok,
             "attempts": [],
         }
-        if sampling_ok:
-            # The ladder: cheapest rung first; the final rung accepts the
-            # solver candidate (sampling already passed), cheaper rungs
-            # must also reconstruct numerically sound PSD Gram matrices.
-            for position, rung in enumerate(rungs):
-                final = position == len(rungs) - 1
-                structure = structure_for(rung)
-                conic = structure.conic_at(params)
-                result = context.solve(conic, backend=backend, **settings)
-                outcome["attempts"].append(rung)
-                if result.x is None:
-                    continue
-                if final and not validated and not result.is_success:
-                    continue
-                if not final:
-                    solution = structure.interpret(result, with_certificates=True)
-                    sound = bool(solution.certificates) and all(
-                        certificate.is_numerically_sos(
-                            eig_tol=options.relaxation_eig_tol,
-                            res_tol=options.relaxation_res_tol)
-                        for certificate in solution.certificates.values())
-                    if not sound:
-                        continue
-                outcome["certified"] = True
-                outcome["rung"] = rung
-                break
         outcomes.append(outcome)
+        if sampling_ok:
+            pending.append(_Pending(outcome, params, options, settings, validated))
+
+    # Pass 2, the ladder: cheapest rung first, one batched solve per rung
+    # over every point still uncertified.  The final rung accepts the
+    # solver candidate (sampling already passed), cheaper rungs must also
+    # reconstruct numerically sound PSD Gram matrices.
+    for position, rung in enumerate(rungs):
+        if not pending:
+            break
+        final = position == len(rungs) - 1
+        settings = pending[0].settings
+        if any(point.settings != settings for point in pending[1:]):
+            raise ValueError(
+                f"sweep shard of {scenario!r}: the points of rung {rung!r} "
+                "resolve to different solver settings and cannot share a "
+                "batched solve")
+        structure = structure_for(rung)
+        probes = [structure.probe_at(point.params) for point in pending]
+        results = context.solve_many([conic for conic, _ in probes],
+                                     backend=backend, **settings)
+        uncertified = []
+        for point, (_, interpret), result in zip(pending, probes, results):
+            point.outcome["attempts"].append(rung)
+            if _accepted(result, interpret, point.options, final, point.validated):
+                point.outcome["certified"] = True
+                point.outcome["rung"] = rung
+            else:
+                uncertified.append(point)
+        pending = uncertified
 
     outcomes.sort(key=lambda o: o["index"])
     certified = sum(1 for o in outcomes if o["certified"])
@@ -218,3 +234,17 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
     }
     detail = f"{certified}/{len(outcomes)} point(s) recertified"
     return "ok", detail, data
+
+
+def _accepted(result, interpret, options, final: bool, validated: bool) -> bool:
+    """Does one rung's probe result certify its point?"""
+    if result.x is None:
+        return False
+    if final:
+        return validated or result.is_success
+    solution = interpret(result, with_certificates=True)
+    return bool(solution.certificates) and all(
+        certificate.is_numerically_sos(
+            eig_tol=options.relaxation_eig_tol,
+            res_tol=options.relaxation_res_tol)
+        for certificate in solution.certificates.values())

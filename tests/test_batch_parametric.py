@@ -4,6 +4,7 @@ level-set maximiser."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import LevelSetMaximizer, LevelSetOptions
 from repro.core.inclusion import (
@@ -17,12 +18,15 @@ from repro.sdp import (
     ADMMSettings,
     BatchADMMSolver,
     ConeDims,
+    ConicProblem,
     ConicProblemBuilder,
     SolverStatus,
     project_onto_cone,
     project_onto_cone_many,
     solve_conic_problems,
 )
+from repro.sdp.backend import NumpyBackend
+from repro.sdp.cones import svec_many
 from repro.sos import (
     ParametricProgramError,
     ParametricSOSProgram,
@@ -124,6 +128,78 @@ class TestBatchADMMSolver:
         # Non-ADMM backends are solved sequentially with the same semantics.
         results = solve_conic_problems(problems, backend="projection")
         assert all(r.status.is_success for r in results)
+
+
+def _shared_matrix_problems():
+    """Conic programs sharing ``A`` and ``c`` that differ only in ``b``.
+
+    Each right-hand side appears twice, so every ``(A, rho)`` pair of the
+    batch always has two active rows; their adaptive ``rho`` values drift
+    apart (1, 2 and 4 by the end).
+    """
+    dims = ConeDims(free=1, nonneg=2, psd=(3, 3))
+    n = dims.total
+    rng = np.random.default_rng(3)
+    A = sp.csr_matrix(rng.normal(size=(5, n)) * (rng.random((5, n)) < 0.6))
+    trace = svec_many(np.eye(3)[None], 3)[0]
+    c = np.concatenate([[0.0, 1.0, 1.0], trace, trace])
+
+    def cone_point(scale, seed):
+        point_rng = np.random.default_rng(seed)
+        parts = [point_rng.normal(size=1), point_rng.random(2)]
+        for _ in dims.psd:
+            root = point_rng.normal(size=(3, 3))
+            parts.append(svec_many((root @ root.T)[None], 3)[0])
+        return scale * np.concatenate(parts)
+
+    rhs = [A @ cone_point(scale, k)
+           for k, scale in enumerate([1.0, 1.0, 30.0, 0.02, 5.0, 1.0])]
+    rhs[1] = -rhs[1]
+    return [ConicProblem(c=c, A=A, b=b, dims=dims) for b in rhs + rhs]
+
+
+class TestSharedMatrixBatch:
+    """Problems differing only in ``b``: one KKT factor per ``(A, rho)``."""
+
+    @staticmethod
+    def _spy_factorizations(monkeypatch):
+        factored = []
+        original = NumpyBackend.kkt_factor
+
+        def spy(self, kkt):
+            kkt = kkt.tocsc()
+            factored.append((kkt.shape, kkt.indptr.tobytes(),
+                             kkt.indices.tobytes(), kkt.data.tobytes()))
+            return original(self, kkt)
+
+        monkeypatch.setattr(NumpyBackend, "kkt_factor", spy)
+        return factored
+
+    def test_one_factor_per_pair_and_bitwise_serial_parity(self, monkeypatch):
+        problems = _shared_matrix_problems()
+        settings = ADMMSettings(max_iterations=4000, array_backend="numpy")
+        factored = self._spy_factorizations(monkeypatch)
+        serial = [ADMMConicSolver(settings).solve(p) for p in problems]
+        distinct_pairs = len(set(factored))
+        assert len({r.info["rho_final"] for r in serial}) > 1
+
+        del factored[:]
+        batch = BatchADMMSolver(settings).solve_batch(problems)
+        assert len(factored) <= distinct_pairs
+        for expected, got in zip(serial, batch):
+            assert got.status == expected.status
+            assert got.iterations == expected.iterations
+            for part in ("x", "z", "u"):
+                assert np.array_equal(got.info["warm_start_data"][part],
+                                      expected.info["warm_start_data"][part])
+
+        # The asynchronous schedule takes the same per-pair factors; its
+        # iterates may run past the synchronous stopping points.
+        del factored[:]
+        settings.async_mode = True
+        batch = BatchADMMSolver(settings).solve_batch(problems)
+        assert len(factored) <= distinct_pairs
+        assert [r.status for r in batch] == [r.status for r in serial]
 
 
 class TestParametricSOSProgram:

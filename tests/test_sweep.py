@@ -158,6 +158,38 @@ class TestSweepShard:
         assert stats["mode"] == "parametric"
         assert stats["binds"] == 2
 
+    @pytest.mark.parametrize("family_name", ["buck_grid", "vanderpol_grid"])
+    def test_batched_shard_matches_single_point_shards(self, tmp_path,
+                                                       family_name):
+        """One multi-point shard batches each rung's probes; every point's
+        outcome must equal the one it gets in a shard of its own.
+
+        ``buck_grid`` rebuilds its probe per point (rebuild mode) and
+        accepts at the non-final dsos rung, so each point's certificates
+        must be read back through its own program; ``vanderpol_grid`` binds
+        one parametric family per rung and climbs dsos → sdsos → chordal →
+        sos.
+        """
+        batched = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "batched"))).run(family_name)
+        single = SweepRunner(SweepOptions(
+            jobs=1, shard_size=1, cache_dir=str(tmp_path / "single"),
+        )).run(family_name)
+
+        keys = ("index", "certified", "rung", "attempts", "sampling")
+        assert [{k: p[k] for k in keys} for p in batched.points] == \
+            [{k: p[k] for k in keys} for p in single.points]
+        assert batched.run["counters"]["solved"] == \
+            single.run["counters"]["solved"]
+        ladder = batched.frontier["ladder"]
+        assert len(ladder) > 1
+        if family_name == "buck_grid":
+            assert {s["mode"] for s in batched.run["structures"].values()} \
+                == {"rebuild"}
+            assert any(p["rung"] == ladder[0] for p in batched.points)
+        else:
+            assert any(p["attempts"] == ladder for p in batched.points)
+
     def test_unknown_step_still_errors(self):
         outcome = _execute_job({"scenario": "vanderpol", "step": "nonsense"})
         assert outcome["status"] == "error"
